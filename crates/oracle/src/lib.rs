@@ -61,16 +61,20 @@ pub enum Structure {
     /// (`on_access_batch`) vs a scalar replay of the same access plane
     /// through `on_access`/`on_hint_fault` on a cloned profiler.
     Batch,
+    /// `vm::table`'s per-tier resident-page counter (read by
+    /// `SystemState::recount_fast`) vs a full scan of the mapped PTEs.
+    Resident,
 }
 
 impl Structure {
     /// All structures, in display order.
-    pub const ALL: [Structure; 5] = [
+    pub const ALL: [Structure; 6] = [
         Structure::Heat,
         Structure::Walk,
         Structure::Zipf,
         Structure::Latency,
         Structure::Batch,
+        Structure::Resident,
     ];
 
     /// Human-readable structure name used in reports.
@@ -81,6 +85,7 @@ impl Structure {
             Structure::Zipf => "zipf-sampler",
             Structure::Latency => "loaded-latency",
             Structure::Batch => "access-batch",
+            Structure::Resident => "resident-count",
         }
     }
 
@@ -91,6 +96,7 @@ impl Structure {
             Structure::Zipf => 2,
             Structure::Latency => 3,
             Structure::Batch => 4,
+            Structure::Resident => 5,
         }
     }
 }
@@ -98,7 +104,8 @@ impl Structure {
 /// Lockstep comparisons performed, per structure. Global (not
 /// thread-local): experiment grids run cells on a thread pool and the
 /// driver wants one total.
-static CHECKS: [AtomicU64; 5] = [
+static CHECKS: [AtomicU64; 6] = [
+    AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),

@@ -12,10 +12,12 @@
 //! "persistently hot" and evicts the latency-critical workload's
 //! moderately-hot pages — the cold page dilemma.
 
+use std::cmp::Ordering;
 use vulcan_migrate::MechanismConfig;
+use vulcan_profile::select_top_by;
 use vulcan_runtime::{SystemState, TieringPolicy};
 use vulcan_sim::TierKind;
-use vulcan_vm::Vpn;
+use vulcan_vm::{AddressSpace, Vpn};
 
 /// Memtis configuration.
 #[derive(Clone, Debug)]
@@ -65,70 +67,56 @@ impl TieringPolicy for Memtis {
 
         // Global absolute-heat ranking across every workload (the
         // workload-agnostic step that causes the dilemma).
-        let mut all: Vec<(usize, Vpn, f64)> = Vec::new();
+        let mut heated: Vec<Ranked> = Vec::new();
         for (w, ws) in state.workloads.iter().enumerate() {
             if !ws.started {
                 continue;
             }
-            for (vpn, s) in ws.heat().iter() {
-                if s.heat > 0.0 && ws.process.space.is_mapped(vpn) {
-                    all.push((w, vpn, s.heat));
-                }
-            }
+            let space = &ws.process.space;
+            heated.extend(
+                ws.heat()
+                    .iter()
+                    .filter(|(vpn, s)| s.heat > 0.0 && space.pte(*vpn).present())
+                    .map(|(vpn, s)| (w, vpn, s.heat)),
+            );
         }
-        all.sort_by(|a, b| {
-            b.2.partial_cmp(&a.2)
-                .unwrap()
-                .then((a.0, a.1 .0).cmp(&(b.0, b.1 .0)))
+        let (hot, slow_hot) = rank_hot(heated, budget, |&(w, vpn, _)| {
+            state.workloads[w].process.space.pte(vpn).tier() == Some(TierKind::Slow)
         });
 
-        // Hot set = hottest pages up to the capacity budget.
-        let hot: Vec<(usize, Vpn)> = all.iter().take(budget).map(|&(w, v, _)| (w, v)).collect();
-        let hot_len = hot.len();
-
-        // Cold fast-resident pages (outside the hot set) per workload.
-        let mut demote: Vec<Vec<Vpn>> = vec![Vec::new(); state.n_workloads()];
-        {
-            let mut is_hot: std::collections::HashSet<(usize, u64)> =
-                std::collections::HashSet::with_capacity(hot_len);
-            for &(w, v) in &hot {
-                is_hot.insert((w, v.0));
-            }
-            for (w, ws) in state.workloads.iter().enumerate() {
-                if !ws.started {
-                    continue;
-                }
-                for vpn in ws.process.space.mapped_vpns() {
-                    if ws.process.space.pte(vpn).tier() == Some(TierKind::Fast)
-                        && !is_hot.contains(&(w, vpn.0))
-                    {
-                        demote[w].push(vpn);
-                    }
-                }
-            }
-        }
-
-        // Promotions: hot pages still in slow memory.
+        // Promotions: hot pages still in slow memory, hottest first.
         let mut promote: Vec<Vec<Vpn>> = vec![Vec::new(); state.n_workloads()];
-        for &(w, vpn) in &hot {
-            if state.workloads[w].process.space.pte(vpn).tier() == Some(TierKind::Slow)
-                && promote[w].len() < self.cfg.promotion_budget
-            {
+        for &(w, vpn, _) in &slow_hot {
+            if promote[w].len() < self.cfg.promotion_budget {
                 promote[w].push(vpn);
             }
         }
 
         // Demote first to make room, then promote — both in background.
+        // Cold victims are found lazily, workload by workload: a
+        // migration of workload w never touches another workload's PTEs,
+        // so each scan sees what a scan before any migration would.
         let wanted: usize = promote.iter().map(Vec::len).sum();
         let mut freed = state.fast_free() as usize;
-        for (w, cold) in demote.iter().enumerate() {
-            if freed >= wanted {
-                break;
+        if freed < wanted {
+            let mut hot_vpns: Vec<Vec<u64>> = vec![Vec::new(); state.n_workloads()];
+            for &(w, vpn, _) in &hot {
+                hot_vpns[w].push(vpn.0);
             }
-            let take = (wanted - freed).min(cold.len());
-            if take > 0 {
-                let out = state.migrate_background(w, &cold[..take], TierKind::Slow, &mech);
-                freed += out.moved.len();
+            for (w, hot_w) in hot_vpns.iter_mut().enumerate() {
+                if freed >= wanted {
+                    break;
+                }
+                let ws = &state.workloads[w];
+                if !ws.started {
+                    continue;
+                }
+                hot_w.sort_unstable();
+                let cold = cold_fast_pages(&ws.process.space, hot_w, wanted - freed);
+                if !cold.is_empty() {
+                    let out = state.migrate_background(w, &cold, TierKind::Slow, &mech);
+                    freed += out.moved.len();
+                }
             }
         }
         for (w, hot) in promote.iter().enumerate() {
@@ -137,6 +125,48 @@ impl TieringPolicy for Memtis {
             }
         }
     }
+}
+
+/// A heated page in the global ranking: `(workload, vpn, heat)`.
+type Ranked = (usize, Vpn, f64);
+
+/// The global ranking order: heat descending, ties by `(workload, vpn)`.
+/// Keys are unique, so this is a total order with no ties. Heated pages
+/// have heat > 0, where `total_cmp` orders exactly as `partial_cmp`.
+fn rank(a: &Ranked, b: &Ranked) -> Ordering {
+    b.2.total_cmp(&a.2).then((a.0, a.1 .0).cmp(&(b.0, b.1 .0)))
+}
+
+/// Memtis's ranking step. Returns the hot set — the `budget` hottest
+/// heated pages, in no particular order, since demotion needs only its
+/// membership — and, hottest first, the hot pages `in_slow` marks for
+/// promotion. Equal to sorting all of `heated` by [`rank`], keeping the
+/// first `budget` and filtering them, without sorting more than the
+/// promotion candidates.
+fn rank_hot(
+    mut heated: Vec<Ranked>,
+    budget: usize,
+    in_slow: impl Fn(&Ranked) -> bool,
+) -> (Vec<Ranked>, Vec<Ranked>) {
+    select_top_by(&mut heated, budget, rank);
+    let mut slow: Vec<Ranked> = heated.iter().copied().filter(|r| in_slow(r)).collect();
+    slow.sort_unstable_by(rank);
+    (heated, slow)
+}
+
+/// Up to `limit` fast-resident pages of `space` outside `hot` (sorted
+/// VPNs), in VPN order: one merge of the fast-resident pages against
+/// `hot` that stops as soon as `limit` pages are found.
+fn cold_fast_pages(space: &AddressSpace, hot: &[u64], limit: usize) -> Vec<Vpn> {
+    let mut hot = hot.iter().copied().peekable();
+    space
+        .resident_vpns(TierKind::Fast)
+        .filter(|vpn| {
+            while hot.next_if(|&h| h < vpn.0).is_some() {}
+            hot.peek() != Some(&vpn.0)
+        })
+        .take(limit)
+        .collect()
 }
 
 #[cfg(test)]
@@ -224,5 +254,97 @@ mod tests {
     #[test]
     fn name() {
         assert_eq!(Memtis::new().name(), "memtis");
+    }
+
+    /// The reference ranking: sort every heated page with the original
+    /// `partial_cmp` order, keep the prefix.
+    fn full_sort_prefix(mut heated: Vec<Ranked>, budget: usize) -> Vec<Ranked> {
+        heated.sort_by(|a, b| {
+            b.2.partial_cmp(&a.2)
+                .unwrap()
+                .then((a.0, a.1 .0).cmp(&(b.0, b.1 .0)))
+        });
+        heated.truncate(budget);
+        heated
+    }
+
+    /// `rank_hot` against the reference: the hot set is the reference
+    /// prefix (as a set), and the promotion candidates are the prefix's
+    /// slow pages in the prefix's order.
+    fn check_rank_hot(heated: &[Ranked], budget: usize) {
+        let in_slow = |r: &Ranked| !r.1 .0.is_multiple_of(3);
+        let want = full_sort_prefix(heated.to_vec(), budget);
+        let (mut hot, slow) = rank_hot(heated.to_vec(), budget, in_slow);
+        let want_slow: Vec<Ranked> = want.iter().copied().filter(in_slow).collect();
+        assert_eq!(slow, want_slow, "promotion order, budget {budget}");
+        hot.sort_by(rank);
+        assert_eq!(hot, want, "hot set, budget {budget}");
+    }
+
+    #[test]
+    fn rank_hot_matches_full_sort_prefix() {
+        // Heats drawn from a handful of values, so equal heats recur
+        // within and across workloads and the (w, vpn) tie-break decides.
+        let mut heated: Vec<Ranked> = (0..600u64)
+            .map(|i| {
+                let x = i.wrapping_mul(2_654_435_761) >> 5;
+                (
+                    ((x % 3) as usize, x % 997),
+                    [0.5, 1.0, 2.0, 7.5][(x % 4) as usize],
+                )
+            })
+            .collect::<std::collections::BTreeMap<_, _>>()
+            .into_iter()
+            .map(|((w, vpn), h)| (w, Vpn(vpn), h))
+            .collect();
+        // Present them out of rank and key order, as a heat map would.
+        heated.sort_by_key(|&(w, vpn, _)| (vpn.0.wrapping_mul(40_503) ^ w as u64) % 1_009);
+        assert!(heated.len() > 100);
+        for budget in [
+            0,
+            1,
+            7,
+            64,
+            heated.len() - 1,
+            heated.len(),
+            heated.len() + 5,
+        ] {
+            check_rank_hot(&heated, budget);
+        }
+        // Equal heats across workloads: lower workload index first.
+        let tied = vec![(1, Vpn(4), 4.0), (0, Vpn(8), 4.0), (0, Vpn(2), 4.0)];
+        let (_, slow) = rank_hot(tied.clone(), 2, |_| true);
+        assert_eq!(slow, vec![(0, Vpn(2), 4.0), (0, Vpn(8), 4.0)]);
+        check_rank_hot(&tied, 2);
+        assert_eq!(rank_hot(Vec::new(), 4, |_| true), (Vec::new(), Vec::new()));
+    }
+
+    #[test]
+    fn cold_fast_pages_matches_full_scan_prefix() {
+        use vulcan_sim::FrameId;
+        use vulcan_vm::LocalTid;
+        let mut space = AddressSpace::new(false);
+        for v in 0..200u64 {
+            let tier = if v % 3 == 0 {
+                TierKind::Slow
+            } else {
+                TierKind::Fast
+            };
+            let frame = FrameId {
+                tier,
+                index: v as u32,
+            };
+            space.map(Vpn(v * 7), frame, LocalTid(0));
+        }
+        let hot: Vec<u64> = (0..200u64).filter(|v| v % 4 == 1).map(|v| v * 7).collect();
+        // The reference: every cold fast page, then the first `limit`.
+        let all: Vec<Vpn> = space
+            .mapped_vpns()
+            .filter(|&v| space.pte(v).tier() == Some(TierKind::Fast) && !hot.contains(&v.0))
+            .collect();
+        for limit in [0, 1, 10, all.len(), all.len() + 3] {
+            let want = &all[..limit.min(all.len())];
+            assert_eq!(cold_fast_pages(&space, &hot, limit), want, "limit {limit}");
+        }
     }
 }

@@ -14,7 +14,9 @@
 //!
 //! [`AsyncMigrator`]: vulcan_migrate::AsyncMigrator
 
+use std::cmp::Ordering;
 use vulcan_migrate::{MechanismConfig, PrepStrategy};
+use vulcan_profile::top_n_by;
 use vulcan_runtime::{SystemState, TieringPolicy};
 use vulcan_sim::TierKind;
 use vulcan_vm::{ShootdownScope, Vpn};
@@ -94,7 +96,7 @@ impl TieringPolicy for Nomad {
             }
             let candidates: Vec<Vpn> = {
                 let ws = &state.workloads[w];
-                let mut hot: Vec<(Vpn, f64)> = ws
+                let hot: Vec<(Vpn, f64)> = ws
                     .heat()
                     .iter()
                     .filter(|(vpn, s)| {
@@ -104,9 +106,8 @@ impl TieringPolicy for Nomad {
                     })
                     .map(|(vpn, s)| (vpn, s.heat))
                     .collect();
-                hot.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0 .0.cmp(&b.0 .0)));
-                hot.into_iter()
-                    .take(self.cfg.promotion_budget)
+                top_n_by(hot, self.cfg.promotion_budget, hotter)
+                    .into_iter()
                     .map(|(v, _)| v)
                     .collect()
             };
@@ -130,15 +131,16 @@ impl TieringPolicy for Nomad {
                 let need = (target_free - state.fast_free()) as usize;
                 let victims: Vec<Vpn> = {
                     let ws = &state.workloads[w];
-                    let mut cold: Vec<(Vpn, f64)> = ws
+                    let cold: Vec<(Vpn, f64)> = ws
                         .process
                         .space
-                        .mapped_vpns()
-                        .filter(|&v| ws.process.space.pte(v).tier() == Some(TierKind::Fast))
+                        .resident_vpns(TierKind::Fast)
                         .map(|v| (v, ws.heat().get(v).heat))
                         .collect();
-                    cold.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0 .0.cmp(&b.0 .0)));
-                    cold.into_iter().take(need).map(|(v, _)| v).collect()
+                    top_n_by(cold, need, colder)
+                        .into_iter()
+                        .map(|(v, _)| v)
+                        .collect()
                 };
                 if !victims.is_empty() {
                     state.migrate_background(w, &victims, TierKind::Slow, &mech);
@@ -146,6 +148,20 @@ impl TieringPolicy for Nomad {
             }
         }
     }
+}
+
+/// Promotion order: heat descending, ties by VPN.
+fn hotter(a: &(Vpn, f64), b: &(Vpn, f64)) -> Ordering {
+    b.1.partial_cmp(&a.1)
+        .expect("heat is never NaN")
+        .then(a.0 .0.cmp(&b.0 .0))
+}
+
+/// Demotion order: heat ascending, ties by VPN.
+fn colder(a: &(Vpn, f64), b: &(Vpn, f64)) -> Ordering {
+    a.1.partial_cmp(&b.1)
+        .expect("heat is never NaN")
+        .then(a.0 .0.cmp(&b.0 .0))
 }
 
 #[cfg(test)]

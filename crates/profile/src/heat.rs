@@ -305,6 +305,29 @@ impl Spill {
     }
 }
 
+/// Keep only the first `n` items of `v` under `cmp`, in no particular
+/// order, in O(len). `cmp` must be a total order with no ties between
+/// distinct items (every caller ends it with a unique key such as the
+/// VPN), so the kept set is exactly the first `n` of a full sort.
+pub fn select_top_by<T>(v: &mut Vec<T>, n: usize, cmp: impl Fn(&T, &T) -> std::cmp::Ordering) {
+    if n == 0 {
+        v.clear();
+    } else if n < v.len() {
+        v.select_nth_unstable_by(n - 1, cmp);
+        v.truncate(n);
+    }
+}
+
+/// The first `n` items of `v` under `cmp`, in `cmp` order: select the
+/// prefix, then sort only that prefix. Equals sorting all of `v` and
+/// truncating to `n` (same precondition on `cmp` as [`select_top_by`]),
+/// in O(len + n log n) instead of O(len log len).
+pub fn top_n_by<T>(mut v: Vec<T>, n: usize, cmp: impl Fn(&T, &T) -> std::cmp::Ordering) -> Vec<T> {
+    select_top_by(&mut v, n, &cmp);
+    v.sort_unstable_by(cmp);
+    v
+}
+
 /// Decayed per-page heat map over a sharded, epoch-versioned flat table
 /// whose dense slots are lock-free-readable (see the module docs for the
 /// memory model).
@@ -569,24 +592,13 @@ impl HeatMap {
         }
     }
 
-    /// The `n` extreme pages under `cmp` (a total order), best first:
-    /// select the prefix, then sort only that prefix. Identical output
-    /// to sorting everything and truncating, without the full sort.
+    /// The `n` extreme pages under `cmp`, best first (see [`top_n_by`]).
     fn top_by(
         &self,
         n: usize,
         cmp: impl Fn(&(Vpn, f64), &(Vpn, f64)) -> std::cmp::Ordering,
     ) -> Vec<(Vpn, f64)> {
-        let mut v: Vec<(Vpn, f64)> = self.iter().map(|(vpn, s)| (vpn, s.heat)).collect();
-        if n == 0 {
-            return Vec::new();
-        }
-        if n < v.len() {
-            v.select_nth_unstable_by(n - 1, &cmp);
-            v.truncate(n);
-        }
-        v.sort_by(cmp);
-        v
+        top_n_by(self.iter().map(|(vpn, s)| (vpn, s.heat)).collect(), n, cmp)
     }
 
     /// The `n` hottest pages, hottest first (ties by VPN for determinism).

@@ -894,15 +894,31 @@ impl SystemState {
         }
     }
 
-    /// Recount workload `w`'s fast-tier pages (authoritative).
+    /// Refresh workload `w`'s `fast_used` from its address space's
+    /// per-tier resident counter (authoritative, O(1)).
     pub fn recount_fast(&mut self, w: usize) {
         let ws = &mut self.workloads[w];
-        let count = ws
-            .process
-            .space
-            .mapped_vpns()
-            .filter(|&v| ws.process.space.pte(v).tier() == Some(TierKind::Fast))
-            .count() as u64;
+        let count = ws.process.space.resident_pages(TierKind::Fast);
+        // Oracle builds: the counter must equal a full scan of the PTEs.
+        #[cfg(feature = "oracle")]
+        {
+            let space = &ws.process.space;
+            let scan = space
+                .mapped_vpns()
+                .filter(|&v| space.pte(v).tier() == Some(TierKind::Fast))
+                .count() as u64;
+            vulcan_oracle::check(
+                vulcan_oracle::Structure::Resident,
+                count == scan,
+                None,
+                || {
+                    format!(
+                        "{}: fast resident counter {count} != PTE scan {scan}",
+                        ws.spec.name
+                    )
+                },
+            );
+        }
         ws.stats.fast_used = count;
     }
 

@@ -83,13 +83,18 @@ impl Pte {
         if !self.present() {
             return None;
         }
-        let raw = ((self.0 & TIER_MASK) >> TIER_SHIFT) as usize;
-        let tier = TierKind::try_from(raw)
+        let tier = TierKind::try_from(self.tier_field())
             .unwrap_or_else(|i| panic!("PTE tier field {i} is not a valid chain index"));
         Some(FrameId {
             tier,
             index: ((self.0 & FRAME_MASK) >> FRAME_SHIFT) as u32,
         })
+    }
+
+    /// The raw two-bit tier field, unchecked: [`Self::frame`] and
+    /// checkpoint restore validate it as a chain index.
+    pub(crate) fn tier_field(self) -> usize {
+        ((self.0 & TIER_MASK) >> TIER_SHIFT) as usize
     }
 
     /// Replace the mapped frame, keeping flags and owner (remap step ⑤).

@@ -15,7 +15,7 @@
 use crate::addr::{Vpn, FANOUT, LEVEL_BITS};
 use crate::pte::{merge_owner, LocalTid, PageOwner, Pte};
 use std::collections::BTreeSet;
-use vulcan_sim::FrameId;
+use vulcan_sim::{FrameId, TierKind, MAX_TIERS};
 
 /// Slots in each software walk cache (power of two, direct-mapped).
 const WALK_CACHE_SLOTS: usize = 128;
@@ -156,6 +156,10 @@ pub struct AddressSpace {
     replication: bool,
     /// All mapped VPNs, for iteration by profilers and policies.
     mapped: BTreeSet<u64>,
+    /// Present PTEs per tier (indexed by [`TierKind::index`]), kept in
+    /// lockstep with the leaves by `map`, `unmap` and `set_pte`. Derived
+    /// state: not serialized, rebuilt from the leaves on restore.
+    resident: [u64; MAX_TIERS],
     /// Bases of ranges currently backed by transparent huge pages.
     huge_bases: BTreeSet<u64>,
     /// Walk cache over the process tree (region → leaf index).
@@ -179,6 +183,7 @@ impl AddressSpace {
             thread_roots: Vec::new(),
             replication,
             mapped: BTreeSet::new(),
+            resident: [0; MAX_TIERS],
             huge_bases: BTreeSet::new(),
             walk: WalkCache::new(),
             thread_walks: Vec::new(),
@@ -359,6 +364,7 @@ impl AddressSpace {
         l.ptes[slot] = Pte::new(frame, owner);
         l.mapped += 1;
         self.mapped.insert(vpn.0);
+        self.resident[frame.tier.index()] += 1;
     }
 
     /// Unmap `vpn`, returning the old PTE (migration step ②).
@@ -373,6 +379,7 @@ impl AddressSpace {
         l.ptes[slot] = Pte::EMPTY;
         l.mapped -= 1;
         self.mapped.remove(&vpn.0);
+        self.count_resident(old, false);
         self.invalidate_walk(vpn);
         Some(old)
     }
@@ -413,9 +420,9 @@ impl AddressSpace {
             .expect("set_pte on unmapped region");
         let slot = vpn.index(0);
         let l = &mut self.leaves[leaf as usize];
-        let was = l.ptes[slot].present();
+        let old = l.ptes[slot];
         l.ptes[slot] = pte;
-        match (was, pte.present()) {
+        match (old.present(), pte.present()) {
             (false, true) => {
                 l.mapped += 1;
                 self.mapped.insert(vpn.0);
@@ -429,6 +436,26 @@ impl AddressSpace {
             }
             _ => {}
         }
+        self.count_resident(old, false);
+        self.count_resident(pte, true);
+    }
+
+    /// Add (`add`) or remove a present `pte` from the per-tier counts;
+    /// not-present entries count nowhere.
+    fn count_resident(&mut self, pte: Pte, add: bool) {
+        if let Some(tier) = pte.tier() {
+            let n = &mut self.resident[tier.index()];
+            if add {
+                *n += 1;
+            } else {
+                *n -= 1;
+            }
+        }
+    }
+
+    /// Number of mapped pages whose frame lives in `tier`, in O(1).
+    pub fn resident_pages(&self, tier: TierKind) -> u64 {
+        self.resident[tier.index()]
     }
 
     /// Whether `vpn` is mapped.
@@ -547,6 +574,36 @@ impl AddressSpace {
         self.mapped.iter().map(|&v| Vpn(v))
     }
 
+    /// Mapped VPNs whose frame lives in `tier`, in address order: one
+    /// in-order walk of the process tree that reads each leaf's PTEs
+    /// directly, with no per-page radix descent.
+    pub fn resident_vpns(&self, tier: TierKind) -> impl Iterator<Item = Vpn> + '_ {
+        // Occupied slots of inner node `node` at `level`, each with the
+        // VPN bits its index contributes.
+        let children = move |node: u32, base: u64, level: usize| {
+            let shift = LEVEL_BITS as usize * level;
+            self.nodes[node as usize]
+                .slots
+                .iter()
+                .enumerate()
+                .filter_map(move |(i, &slot)| match slot {
+                    Slot::Empty => None,
+                    Slot::Node(c) | Slot::Leaf(c) => Some((c, base | (i as u64) << shift)),
+                })
+        };
+        children(self.process_root, 0, 3)
+            .flat_map(move |(n, base)| children(n, base, 2))
+            .flat_map(move |(n, base)| children(n, base, 1))
+            .flat_map(move |(leaf, base)| {
+                self.leaves[leaf as usize]
+                    .ptes
+                    .iter()
+                    .enumerate()
+                    .filter(move |(_, pte)| pte.present() && pte.tier_field() == tier.index())
+                    .map(move |(i, _)| Vpn(base | i as u64))
+            })
+    }
+
     /// Number of mapped pages (the process's RSS in pages).
     pub fn rss_pages(&self) -> u64 {
         self.mapped.len() as u64
@@ -645,7 +702,8 @@ impl vulcan_json::Snapshot for AddressSpace {
     /// walk caches are deliberately **not** serialized: they are
     /// memoization only (the `walk_cache_disabled_matches_enabled` test
     /// proves behavioral equivalence), so restore rebuilds them empty and
-    /// they re-fill on first touch.
+    /// they re-fill on first touch. The per-tier resident counts are
+    /// derived from the leaves and likewise rebuilt by `restore`.
     fn snapshot(&self) -> vulcan_json::Value {
         use vulcan_json::{snap, Value};
         let nodes: Vec<Value> = self
@@ -739,6 +797,14 @@ impl vulcan_json::Snapshot for AddressSpace {
             })
             .collect::<Result<_, String>>()?;
         let thread_walks = thread_roots.iter().map(|_| WalkCache::new()).collect();
+        let mut resident = [0; MAX_TIERS];
+        for pte in leaves.iter().flat_map(|l| l.ptes.iter()) {
+            if pte.present() {
+                let tier = TierKind::try_from(pte.tier_field())
+                    .map_err(|i| format!("PTE tier field {i} is not a valid chain index"))?;
+                resident[tier.index()] += 1;
+            }
+        }
         Ok(AddressSpace {
             nodes,
             leaves,
@@ -748,6 +814,7 @@ impl vulcan_json::Snapshot for AddressSpace {
             mapped: snap::array_u64(snap::field(v, "mapped")?)?
                 .into_iter()
                 .collect(),
+            resident,
             huge_bases: snap::array_u64(snap::field(v, "huge_bases")?)?
                 .into_iter()
                 .collect(),
@@ -1110,6 +1177,28 @@ mod tests {
         assert_eq!(orig.inner_node_count(), back.inner_node_count());
         assert_eq!(orig.leaf_count(), back.leaf_count());
         assert_eq!(back.snapshot(), orig.snapshot(), "states stay in lockstep");
+    }
+
+    #[test]
+    fn restore_rejects_invalid_tier_field() {
+        use vulcan_json::{snap, Snapshot, Value};
+        let mut s = space();
+        s.map(Vpn(0), frame(1), LocalTid(0));
+        let mut v = s.snapshot();
+        // Tier field 0b11 names no chain tier.
+        let bad = s.pte(Vpn(0)).0 | (0b11 << 9);
+        let mut ptes = vec![0; FANOUT];
+        ptes[0] = bad;
+        let leaf = snap::obj(vec![
+            ("ptes", snap::u64_array(&ptes)),
+            ("mapped", snap::u64_value(1)),
+        ]);
+        if let Value::Object(m) = &mut v {
+            m.insert("leaves".to_string(), Value::Array(vec![leaf]));
+        }
+        assert!(AddressSpace::restore(&v)
+            .unwrap_err()
+            .contains("tier field 3"));
     }
 
     #[test]

@@ -184,6 +184,69 @@ proptest! {
         }
     }
 
+    /// The per-tier resident counter equals a full PTE scan after any
+    /// map/unmap/set_pte sequence across all three tiers, and again
+    /// after snapshot → restore, which rebuilds it from the leaves.
+    #[test]
+    fn resident_counter_matches_pte_scan(
+        ops in proptest::collection::vec((0usize..8, 0u8..4, 0usize..3), 1..200),
+    ) {
+        use vulcan_json::Snapshot;
+        let universe: [u64; 8] = [0, 1, 511, 512, 1023, 1 << 30, (1 << 30) + 7, 2 << 30];
+        let mut s = AddressSpace::new(true);
+        let scan = |s: &AddressSpace| {
+            TierKind::ALL.map(|t| {
+                s.mapped_vpns().filter(|&v| s.pte(v).tier() == Some(t)).count() as u64
+            })
+        };
+        let counts = |s: &AddressSpace| TierKind::ALL.map(|t| s.resident_pages(t));
+        // The tree-walk listing agrees with the scan, page for page.
+        let listed = |s: &AddressSpace| {
+            TierKind::ALL.map(|t| s.resident_vpns(t).map(|v| v.0).collect::<Vec<_>>())
+        };
+        let scanned = |s: &AddressSpace| {
+            TierKind::ALL.map(|t| {
+                s.mapped_vpns().filter(|&v| s.pte(v).tier() == Some(t)).map(|v| v.0).collect::<Vec<_>>()
+            })
+        };
+        // Build every region's leaf so set_pte may target any VPN.
+        for &v in &universe {
+            s.map(Vpn(v), FrameId { tier: TierKind::Fast, index: 0 }, LocalTid(0));
+            s.unmap(Vpn(v));
+        }
+        for (i, &(vi, kind, ti)) in ops.iter().enumerate() {
+            let vpn = Vpn(universe[vi]);
+            let frame = FrameId { tier: TierKind::ALL[ti], index: i as u32 };
+            match kind {
+                0 => {
+                    if !s.is_mapped(vpn) {
+                        s.map(vpn, frame, LocalTid(0));
+                    }
+                }
+                1 => {
+                    s.unmap(vpn);
+                }
+                2 => s.set_pte(vpn, Pte::EMPTY),
+                // Remap in place (possibly across tiers), or map via set_pte.
+                _ => {
+                    let old = s.pte(vpn);
+                    let pte = if old.present() {
+                        old.with_frame(frame)
+                    } else {
+                        Pte::new(frame, LocalTid(1))
+                    };
+                    s.set_pte(vpn, pte);
+                }
+            }
+            prop_assert_eq!(counts(&s), scan(&s), "after op {}", i);
+        }
+        prop_assert_eq!(listed(&s), scanned(&s));
+        let back = AddressSpace::restore(&s.snapshot()).unwrap();
+        prop_assert_eq!(counts(&back), scan(&back));
+        prop_assert_eq!(counts(&back), counts(&s));
+        prop_assert_eq!(listed(&back), scanned(&s));
+    }
+
     /// Targeted shootdown targets are always a subset of process-wide
     /// targets, and shared pages force all-thread coverage.
     #[test]
