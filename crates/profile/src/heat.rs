@@ -14,48 +14,19 @@
 //! directly by VPN. Workload VPNs are footprint-relative offsets
 //! starting at zero, so the dense part covers essentially every page;
 //! a small open-addressed spill table absorbs sparse outliers above
-//! [`DENSE_LIMIT`]. Liveness is an epoch stamp per slot: `decay_epoch`
-//! bumps the map epoch and re-stamps survivors, so a pruned page's slot
-//! is retired without being written at all, and a later `record`
-//! resurrects it from zero exactly like a fresh `HashMap` entry.
-//! A `live` key list (first-record order) makes decay sweeps and
+//! [`DENSE_LIMIT`]. Both parts hold the same `Slot` and share one
+//! record/decay/forget arithmetic. Liveness is an epoch stamp per slot:
+//! `decay_epoch` bumps the map epoch and re-stamps survivors, so a
+//! pruned page's slot is retired just by keeping its old stamp, and a
+//! later `record` resurrects it from zero exactly like a fresh `HashMap`
+//! entry. A `live` key list (first-record order) makes decay sweeps and
 //! iteration proportional to the number of tracked pages, not table
 //! capacity, and gives the map a deterministic iteration order.
 //!
-//! # Sharding and the lock-free read side
-//!
-//! The dense table is split into [`N_SHARDS`] power-of-two shards keyed
-//! by the VPN's low bits (`shard = vpn & (N_SHARDS - 1)`, `slot = vpn >>
-//! SHARD_BITS`), so consecutive VPNs stripe across shards and each shard
-//! grows independently. Every dense slot is a bundle of atomics guarded
-//! by a per-slot seqlock:
-//!
-//! - **Who writes:** exactly one writer — whoever holds `&mut HeatMap`.
-//!   `record`/`decay_epoch`/`forget` wrap each slot update in a seqlock
-//!   section (`seq` goes odd, fields stored, `seq` goes even). There is
-//!   never writer/writer contention, so writes are plain atomic stores,
-//!   no RMWs, no locks.
-//! - **Who reads:** the same-thread policy/profiler side reads through
-//!   `&HeatMap` with relaxed loads (it *is* the writer thread, so no
-//!   protocol is needed and reads stay exact). Concurrent observers take
-//!   a [`HeatReader`] — an `Arc` snapshot of the shard arrays plus the
-//!   shared epoch counter — and read through the seqlock: retry while
-//!   `seq` is odd or changed across the read, so a snapshot never tears
-//!   and never blocks the writer.
-//! - **Epoch rules:** a slot is live iff its `stamp` equals the map
-//!   epoch (an `Arc<AtomicU64>` both sides share). Readers that race a
-//!   `decay_epoch` may transiently see a survivor as dead (stamp not yet
-//!   re-bumped) — staleness, never a torn value. A shard that grows
-//!   swaps in a fresh slot array; existing `HeatReader`s keep the old
-//!   one and read pages recorded after their snapshot as cold.
-//!
-//! Spill VPNs (at or above [`DENSE_LIMIT`]) stay on a writer-private
-//! non-atomic table: they are sparse outliers that no lock-free reader
-//! needs, and [`HeatReader::get`] reports them as cold.
+//! A map has a single owner — the profiler of one workload, driven by
+//! one thread at a time — so every slot is plain data behind `&mut`.
 
 use std::fmt;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::Arc;
 use vulcan_vm::Vpn;
 
 /// VPNs below this go in the dense direct-indexed table (2 Mi pages =
@@ -66,12 +37,6 @@ const DENSE_LIMIT: u64 = 1 << 21;
 /// Pages whose decayed heat drops below this are pruned, matching the
 /// prior `HashMap::retain` semantics.
 const PRUNE_THRESHOLD: f64 = 1e-3;
-
-/// log2 of the dense shard count.
-const SHARD_BITS: u32 = 3;
-
-/// Power-of-two dense shard count; a VPN's shard is its low bits.
-const N_SHARDS: usize = 1 << SHARD_BITS;
 
 /// Accumulated statistics for one page.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -102,84 +67,48 @@ impl PageStats {
     }
 }
 
-/// One spill-table entry: page statistics plus the liveness epoch stamp.
-/// The slot is live iff `stamp` equals the map's current epoch.
+/// One table entry (dense or spill): page statistics plus the liveness
+/// epoch stamp. The slot is live iff `stamp` equals the map's current
+/// epoch; 0 is never a current epoch.
 #[derive(Clone, Copy, Debug, Default)]
 struct Slot {
     stats: PageStats,
     stamp: u64,
 }
 
-/// One dense-table entry: the same statistics and epoch stamp as
-/// [`Slot`], but held in atomics behind a per-slot seqlock so a
-/// [`HeatReader`] on another thread can read it lock-free while the
-/// single writer updates it.
-#[derive(Debug, Default)]
-struct AtomicSlot {
-    /// Seqlock word: odd while the writer is mid-update; bumped to the
-    /// next even value when the update completes.
-    seq: AtomicU64,
-    /// Liveness epoch stamp (0 is never a current epoch).
-    stamp: AtomicU64,
-    /// `f64` bits of [`PageStats::heat`].
-    heat: AtomicU64,
-    /// `f64` bits of [`PageStats::reads`].
-    reads: AtomicU64,
-    /// `f64` bits of [`PageStats::writes`].
-    writes: AtomicU64,
-}
-
-impl AtomicSlot {
-    /// Plain loads — exact on the writer thread, and safe inside a
-    /// validated seqlock read section.
+impl Slot {
+    /// Add `weight` sampled accesses at `epoch`. A dead or never-seen
+    /// slot first resurrects from zero, exactly like a fresh map entry;
+    /// returns whether it did.
     #[inline]
-    fn stats_relaxed(&self) -> PageStats {
-        PageStats {
-            heat: f64::from_bits(self.heat.load(Ordering::Relaxed)),
-            reads: f64::from_bits(self.reads.load(Ordering::Relaxed)),
-            writes: f64::from_bits(self.writes.load(Ordering::Relaxed)),
+    fn record(&mut self, epoch: u64, is_write: bool, weight: f64) -> bool {
+        let fresh = self.stamp != epoch;
+        if fresh {
+            self.stats = PageStats::default();
+            self.stamp = epoch;
         }
+        self.stats.heat += weight;
+        if is_write {
+            self.stats.writes += weight;
+        } else {
+            self.stats.reads += weight;
+        }
+        fresh
     }
 
-    /// Single-writer seqlock update: take `seq` odd, store the fields,
-    /// release it even. Concurrent [`HeatReader`]s that overlap this
-    /// window retry; the writer never waits.
+    /// Decay by `d`; a survivor is re-stamped live at `epoch`, a pruned
+    /// slot keeps its old (now dead) stamp. Returns whether it survived.
     #[inline]
-    fn write(&self, stamp: u64, stats: PageStats) {
-        let s = self.seq.load(Ordering::Relaxed);
-        self.seq.store(s.wrapping_add(1), Ordering::Relaxed);
-        fence(Ordering::Release);
-        self.stamp.store(stamp, Ordering::Relaxed);
-        self.heat.store(stats.heat.to_bits(), Ordering::Relaxed);
-        self.reads.store(stats.reads.to_bits(), Ordering::Relaxed);
-        self.writes.store(stats.writes.to_bits(), Ordering::Relaxed);
-        self.seq.store(s.wrapping_add(2), Ordering::Release);
-    }
-
-    /// A value-copy with a fresh (even) seqlock word.
-    fn copy_of(&self) -> AtomicSlot {
-        AtomicSlot {
-            seq: AtomicU64::new(0),
-            stamp: AtomicU64::new(self.stamp.load(Ordering::Relaxed)),
-            heat: AtomicU64::new(self.heat.load(Ordering::Relaxed)),
-            reads: AtomicU64::new(self.reads.load(Ordering::Relaxed)),
-            writes: AtomicU64::new(self.writes.load(Ordering::Relaxed)),
+    fn decay(&mut self, d: f64, epoch: u64) -> bool {
+        self.stats.heat *= d;
+        self.stats.reads *= d;
+        self.stats.writes *= d;
+        let keep = self.stats.heat >= PRUNE_THRESHOLD;
+        if keep {
+            self.stamp = epoch;
         }
+        keep
     }
-}
-
-/// One dense shard: a shared, immutable-length slot array. Growth swaps
-/// in a bigger array; readers holding the old `Arc` keep a consistent
-/// (if stale) view.
-type DenseShard = Arc<[AtomicSlot]>;
-
-/// `(shard, slot index)` of a dense VPN.
-#[inline]
-fn dense_pos(key: u64) -> (usize, usize) {
-    (
-        (key as usize) & (N_SHARDS - 1),
-        (key >> SHARD_BITS) as usize,
-    )
 }
 
 /// Open-addressed (linear probe) spill table for VPNs above the dense
@@ -328,9 +257,8 @@ pub fn top_n_by<T>(mut v: Vec<T>, n: usize, cmp: impl Fn(&T, &T) -> std::cmp::Or
     v
 }
 
-/// Decayed per-page heat map over a sharded, epoch-versioned flat table
-/// whose dense slots are lock-free-readable (see the module docs for the
-/// memory model).
+/// Decayed per-page heat map over an epoch-versioned flat table (see
+/// the module docs for the representation).
 ///
 /// ```
 /// use vulcan_profile::HeatMap;
@@ -343,16 +271,16 @@ pub fn top_n_by<T>(mut v: Vec<T>, n: usize, cmp: impl Fn(&T, &T) -> std::cmp::Or
 /// heat.decay_epoch();
 /// assert_eq!(heat.get(Vpn(1)).heat, 7.0); // decayed by 0.7
 /// ```
+#[derive(Clone)]
 pub struct HeatMap {
     /// Multiplier applied at each epoch (0 = pure frequency of last epoch,
     /// 1 = pure cumulative frequency).
     decay: f64,
     /// Current liveness epoch; bumped by [`HeatMap::decay_epoch`].
-    /// Shared with [`HeatReader`]s so their stamp checks track decay.
-    epoch: Arc<AtomicU64>,
-    /// Dense slot shards, striped by VPN low bits (grown on demand).
-    shards: Box<[DenseShard]>,
-    /// Spill table for VPNs at or above [`DENSE_LIMIT`] (writer-private).
+    epoch: u64,
+    /// Dense slots indexed by VPN (grown on demand).
+    dense: Vec<Slot>,
+    /// Spill table for VPNs at or above [`DENSE_LIMIT`].
     spill: Spill,
     /// Keys of currently-live pages in first-record order.
     live: Vec<u64>,
@@ -369,11 +297,8 @@ impl HeatMap {
         assert!((0.0..=1.0).contains(&decay), "decay must be in [0,1]");
         HeatMap {
             decay,
-            epoch: Arc::new(AtomicU64::new(1)),
-            shards: (0..N_SHARDS)
-                .map(|_| Arc::from(Vec::new()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
+            epoch: 1,
+            dense: Vec::new(),
             spill: Spill::new(),
             live: Vec::new(),
             #[cfg(feature = "oracle")]
@@ -381,72 +306,60 @@ impl HeatMap {
         }
     }
 
-    #[inline]
-    fn epoch_now(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
-    }
-
-    /// Swap shard `sh`'s array for one that covers slot `idx`, copying
-    /// existing values. Readers holding the old array keep a consistent
-    /// pre-growth view.
-    fn grow_shard(&mut self, sh: usize, idx: usize) {
-        let cap = (idx + 1).next_power_of_two().max(128);
-        let old = &self.shards[sh];
-        let mut slots: Vec<AtomicSlot> = Vec::with_capacity(cap);
-        slots.extend(old.iter().map(AtomicSlot::copy_of));
-        slots.resize_with(cap, AtomicSlot::default);
-        self.shards[sh] = Arc::from(slots);
+    /// Grow the dense table to the power of two covering `key`.
+    fn grow_dense(&mut self, key: u64) {
+        let cap = (key as usize + 1).next_power_of_two().max(1024);
+        self.dense.resize(cap, Slot::default());
     }
 
     /// Pre-size the dense table for a footprint of `pages` pages, so the
     /// first touches of a workload don't pay incremental regrowth.
     pub fn reserve(&mut self, pages: u64) {
-        let per_shard = (pages.min(DENSE_LIMIT) as usize).div_ceil(N_SHARDS);
-        for sh in 0..N_SHARDS {
-            if per_shard > self.shards[sh].len() {
-                self.grow_shard(sh, per_shard - 1);
+        let pages = pages.min(DENSE_LIMIT);
+        if pages as usize > self.dense.len() {
+            self.grow_dense(pages - 1);
+        }
+    }
+
+    /// The slot for `key`, live or not (`None` if it was never created).
+    #[inline]
+    fn slot(&self, key: u64) -> Option<&Slot> {
+        if key < DENSE_LIMIT {
+            self.dense.get(key as usize)
+        } else {
+            self.spill.find(key).map(|i| &self.spill.slots[i])
+        }
+    }
+
+    /// Mutable [`slot`](Self::slot): never creates one.
+    #[inline]
+    fn slot_mut(&mut self, key: u64) -> Option<&mut Slot> {
+        if key < DENSE_LIMIT {
+            self.dense.get_mut(key as usize)
+        } else {
+            self.spill.find(key).map(|i| &mut self.spill.slots[i])
+        }
+    }
+
+    /// The slot for `key`, creating an empty (dead) one if absent.
+    #[inline]
+    fn slot_entry(&mut self, key: u64) -> &mut Slot {
+        if key < DENSE_LIMIT {
+            if key as usize >= self.dense.len() {
+                self.grow_dense(key);
             }
+            &mut self.dense[key as usize]
+        } else {
+            self.spill.slot_mut(key)
         }
     }
 
     /// Record `weight` sampled accesses to `vpn`.
     #[inline]
     pub fn record(&mut self, vpn: Vpn, is_write: bool, weight: f64) {
-        let epoch = self.epoch_now();
-        if vpn.0 < DENSE_LIMIT {
-            let (sh, idx) = dense_pos(vpn.0);
-            if idx >= self.shards[sh].len() {
-                self.grow_shard(sh, idx);
-            }
-            let slot = &self.shards[sh][idx];
-            let mut stats = if slot.stamp.load(Ordering::Relaxed) == epoch {
-                slot.stats_relaxed()
-            } else {
-                // Dead or never-seen slot: resurrect from zero, exactly
-                // like a fresh map entry.
-                self.live.push(vpn.0);
-                PageStats::default()
-            };
-            stats.heat += weight;
-            if is_write {
-                stats.writes += weight;
-            } else {
-                stats.reads += weight;
-            }
-            slot.write(epoch, stats);
-        } else {
-            let slot = self.spill.slot_mut(vpn.0);
-            if slot.stamp != epoch {
-                slot.stats = PageStats::default();
-                slot.stamp = epoch;
-                self.live.push(vpn.0);
-            }
-            slot.stats.heat += weight;
-            if is_write {
-                slot.stats.writes += weight;
-            } else {
-                slot.stats.reads += weight;
-            }
+        let epoch = self.epoch;
+        if self.slot_entry(vpn.0).record(epoch, is_write, weight) {
+            self.live.push(vpn.0);
         }
         #[cfg(feature = "oracle")]
         {
@@ -458,45 +371,22 @@ impl HeatMap {
     /// Apply one epoch of exponential decay, dropping negligible pages.
     ///
     /// Bumping the epoch retires every slot at once; survivors are
-    /// re-stamped during the sweep, so pruned pages cost no writes.
+    /// re-stamped during the sweep, so pruning needs no removal.
     pub fn decay_epoch(&mut self) {
-        let epoch = self.epoch_now() + 1;
-        self.epoch.store(epoch, Ordering::Relaxed);
-        let d = self.decay;
+        self.epoch += 1;
+        let (d, epoch) = (self.decay, self.epoch);
         let HeatMap {
-            shards,
-            spill,
-            live,
-            ..
+            dense, spill, live, ..
         } = self;
         let mut live_spill = 0usize;
         live.retain(|&key| {
             if key < DENSE_LIMIT {
-                let (sh, idx) = dense_pos(key);
-                let slot = &shards[sh][idx];
-                let mut stats = slot.stats_relaxed();
-                stats.heat *= d;
-                stats.reads *= d;
-                stats.writes *= d;
-                if stats.heat >= PRUNE_THRESHOLD {
-                    slot.write(epoch, stats);
-                    true
-                } else {
-                    false
-                }
+                dense[key as usize].decay(d, epoch)
             } else {
                 let i = spill.find(key).expect("live key is in the spill table");
-                let slot = &mut spill.slots[i];
-                slot.stats.heat *= d;
-                slot.stats.reads *= d;
-                slot.stats.writes *= d;
-                if slot.stats.heat >= PRUNE_THRESHOLD {
-                    slot.stamp = epoch;
-                    live_spill += 1;
-                    true
-                } else {
-                    false
-                }
+                let keep = spill.slots[i].decay(d, epoch);
+                live_spill += keep as usize;
+                keep
             }
         });
         // Reclaim spill capacity once dead keys dominate: `used` counts
@@ -516,37 +406,18 @@ impl HeatMap {
     /// Statistics for one page (zero if never sampled).
     #[inline]
     pub fn get(&self, vpn: Vpn) -> PageStats {
-        let epoch = self.epoch_now();
-        if vpn.0 < DENSE_LIMIT {
-            let (sh, idx) = dense_pos(vpn.0);
-            match self.shards[sh].get(idx) {
-                Some(s) if s.stamp.load(Ordering::Relaxed) == epoch => s.stats_relaxed(),
-                _ => PageStats::default(),
-            }
-        } else {
-            match self.spill.find(vpn.0) {
-                Some(i) if self.spill.slots[i].stamp == epoch => self.spill.slots[i].stats,
-                _ => PageStats::default(),
-            }
+        match self.slot(vpn.0) {
+            Some(s) if s.stamp == self.epoch => s.stats,
+            _ => PageStats::default(),
         }
     }
 
     /// Remove a page's statistics (e.g. after unmap).
     pub fn forget(&mut self, vpn: Vpn) {
-        let epoch = self.epoch_now();
-        if vpn.0 < DENSE_LIMIT {
-            let (sh, idx) = dense_pos(vpn.0);
-            match self.shards[sh].get(idx) {
-                Some(s) if s.stamp.load(Ordering::Relaxed) == epoch => {
-                    s.write(0, PageStats::default()) // 0 is never a current epoch
-                }
-                _ => return,
-            }
-        } else {
-            match self.spill.find(vpn.0) {
-                Some(i) if self.spill.slots[i].stamp == epoch => self.spill.slots[i].stamp = 0,
-                _ => return,
-            }
+        let epoch = self.epoch;
+        match self.slot_mut(vpn.0) {
+            Some(s) if s.stamp == epoch => s.stamp = 0, // 0 is never a current epoch
+            _ => return,
         }
         self.live.retain(|&k| k != vpn.0);
         #[cfg(feature = "oracle")]
@@ -581,15 +452,6 @@ impl HeatMap {
     /// Iterate `(vpn, stats)` over live pages in first-record order.
     pub fn iter(&self) -> impl Iterator<Item = (Vpn, PageStats)> + '_ {
         self.live.iter().map(move |&k| (Vpn(k), self.get(Vpn(k))))
-    }
-
-    /// A lock-free read handle over the dense shards as they are now.
-    /// See [`HeatReader`] for the visibility contract.
-    pub fn reader(&self) -> HeatReader {
-        HeatReader {
-            epoch: Arc::clone(&self.epoch),
-            shards: self.shards.clone(),
-        }
     }
 
     /// The `n` extreme pages under `cmp`, best first (see [`top_n_by`]).
@@ -709,9 +571,9 @@ impl vulcan_json::Snapshot for HeatMap {
     /// bit-exact stat arrays. The spill table is serialized **verbatim**
     /// — keys (dead ones included), stamps, stats and the `used`
     /// counter — because compaction hysteresis depends on the history of
-    /// distinct keys ever inserted, not just the live set (ISSUE 10
-    /// satellite: spillover compaction hysteresis is hidden state).
-    /// Dense shard capacities are wall-clock-only and rebuilt on demand.
+    /// distinct keys ever inserted, not just the live set, so it is
+    /// hidden state. Dense table capacity is wall-clock-only and rebuilt
+    /// on demand.
     fn snapshot(&self) -> vulcan_json::Value {
         use vulcan_json::snap;
         let mut heat = Vec::with_capacity(self.live.len());
@@ -729,7 +591,7 @@ impl vulcan_json::Snapshot for HeatMap {
         let spill_writes: Vec<f64> = self.spill.slots.iter().map(|s| s.stats.writes).collect();
         snap::obj(vec![
             ("decay", snap::f64_value(self.decay)),
-            ("epoch", snap::u64_value(self.epoch_now())),
+            ("epoch", snap::u64_value(self.epoch)),
             ("live", snap::u64_array(&self.live)),
             ("heat", snap::f64_array(&heat)),
             ("reads", snap::f64_array(&reads)),
@@ -750,7 +612,17 @@ impl vulcan_json::Snapshot for HeatMap {
             return Err(format!("decay {decay} out of [0,1]"));
         }
         let epoch = snap::field_u64(v, "epoch")?;
+        if epoch == 0 {
+            // Stamp 0 marks never-live slots; as the current epoch it
+            // would make every untouched dense slot read as live.
+            return Err("heat-map epoch 0 is reserved for never-live slots".into());
+        }
         let live = snap::array_u64(snap::field(v, "live")?)?;
+        let mut sorted = live.clone();
+        sorted.sort_unstable();
+        if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
+            return Err(format!("duplicate live key {} in heat map", w[0]));
+        }
         let heat = snap::array_f64(snap::field(v, "heat")?)?;
         let reads = snap::array_f64(snap::field(v, "reads")?)?;
         let writes = snap::array_f64(snap::field(v, "writes")?)?;
@@ -794,7 +666,7 @@ impl vulcan_json::Snapshot for HeatMap {
                 .map_err(|_| "spill_used out of range".to_string())?,
         };
         let mut map = HeatMap::new(decay);
-        map.epoch.store(epoch, Ordering::Relaxed);
+        map.epoch = epoch;
         map.spill = spill;
         for (i, &key) in live.iter().enumerate() {
             let stats = PageStats {
@@ -803,11 +675,10 @@ impl vulcan_json::Snapshot for HeatMap {
                 writes: writes[i],
             };
             if key < DENSE_LIMIT {
-                let (sh, idx) = dense_pos(key);
-                if idx >= map.shards[sh].len() {
-                    map.grow_shard(sh, idx);
-                }
-                map.shards[sh][idx].write(epoch, stats);
+                *map.slot_entry(key) = Slot {
+                    stats,
+                    stamp: epoch,
+                };
             } else {
                 let j = map
                     .spill
@@ -832,90 +703,13 @@ impl vulcan_json::Snapshot for HeatMap {
     }
 }
 
-impl Clone for HeatMap {
-    /// Deep copy: fresh shard arrays and a fresh (unshared) epoch
-    /// counter, so the clone's readers never observe the original.
-    fn clone(&self) -> HeatMap {
-        HeatMap {
-            decay: self.decay,
-            epoch: Arc::new(AtomicU64::new(self.epoch_now())),
-            shards: self
-                .shards
-                .iter()
-                .map(|sh| Arc::from(sh.iter().map(AtomicSlot::copy_of).collect::<Vec<_>>()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            spill: self.spill.clone(),
-            live: self.live.clone(),
-            #[cfg(feature = "oracle")]
-            shadow: self.shadow.clone(),
-        }
-    }
-}
-
 impl fmt::Debug for HeatMap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HeatMap")
             .field("decay", &self.decay)
-            .field("epoch", &self.epoch_now())
+            .field("epoch", &self.epoch)
             .field("live_pages", &self.live.len())
             .field("spill_capacity", &self.spill.keys.len())
-            .finish_non_exhaustive()
-    }
-}
-
-/// A lock-free, concurrent read handle over a [`HeatMap`]'s dense
-/// shards.
-///
-/// Reads go through each slot's seqlock: they spin (never block, never
-/// take a lock) while an update is in flight and retry if one raced the
-/// read, so a returned [`PageStats`] is always an untorn snapshot some
-/// writer actually produced. The handle snapshots the shard arrays at
-/// creation: pages first recorded after a shard *grows* past the
-/// snapshot read as cold, as do spill-range VPNs (at or above the dense
-/// limit) — monitoring-grade visibility, while the writer-thread
-/// [`HeatMap::get`] stays exact.
-#[derive(Clone)]
-pub struct HeatReader {
-    epoch: Arc<AtomicU64>,
-    shards: Box<[DenseShard]>,
-}
-
-impl HeatReader {
-    /// Statistics for one page (zero if never sampled, dead, beyond the
-    /// snapshot, or in the spill range).
-    pub fn get(&self, vpn: Vpn) -> PageStats {
-        if vpn.0 >= DENSE_LIMIT {
-            return PageStats::default();
-        }
-        let (sh, idx) = dense_pos(vpn.0);
-        let Some(slot) = self.shards[sh].get(idx) else {
-            return PageStats::default();
-        };
-        loop {
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let stamp = slot.stamp.load(Ordering::Relaxed);
-            let stats = slot.stats_relaxed();
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) == s1 {
-                return if stamp == self.epoch.load(Ordering::Relaxed) {
-                    stats
-                } else {
-                    PageStats::default()
-                };
-            }
-        }
-    }
-}
-
-impl fmt::Debug for HeatReader {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("HeatReader")
-            .field("epoch", &self.epoch.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
@@ -1032,6 +826,21 @@ mod tests {
         h.forget(far);
         assert_eq!(h.get(far), PageStats::default());
         assert_eq!(h.len(), 2);
+    }
+
+    #[test]
+    fn forget_never_grows_the_spill_table() {
+        // 44 keys fill a 64-slot table to its growth threshold; the
+        // capacity is checkpointed verbatim, so forgetting must not
+        // trigger the insert path's regrowth.
+        let mut h = HeatMap::new(1.0);
+        for i in 0..44u64 {
+            h.record(Vpn(DENSE_LIMIT + i), false, 1.0);
+        }
+        assert_eq!(h.spill_capacity(), 64);
+        h.forget(Vpn(DENSE_LIMIT + 3));
+        assert_eq!(h.spill_capacity(), 64);
+        assert_eq!(h.len(), 43);
     }
 
     #[test]
@@ -1230,88 +1039,37 @@ mod tests {
         assert_eq!(c.get(Vpn(1)).heat, 2.5);
     }
 
-    #[test]
-    fn reader_matches_writer_view_single_threaded() {
-        let mut h = HeatMap::new(0.5);
-        for v in 0..300u64 {
-            h.record(Vpn(v), v % 4 == 0, (v % 9) as f64 + 1.0);
+    /// `v` (a snapshot object) with `key` replaced by `value`.
+    fn with_field(
+        v: vulcan_json::Value,
+        key: &str,
+        value: vulcan_json::Value,
+    ) -> vulcan_json::Value {
+        match v {
+            vulcan_json::Value::Object(m) => vulcan_json::Value::Object(m.with(key, value)),
+            other => panic!("snapshot is not an object: {other:?}"),
         }
-        h.decay_epoch();
-        for v in 0..50u64 {
-            h.record(Vpn(v), false, 2.0);
-        }
-        let r = h.reader();
-        for v in 0..300u64 {
-            assert_eq!(r.get(Vpn(v)), h.get(Vpn(v)), "vpn {v}");
-        }
-        assert_eq!(r.get(Vpn(9_999)), PageStats::default(), "beyond snapshot");
-        assert_eq!(
-            r.get(Vpn(DENSE_LIMIT + 1)),
-            PageStats::default(),
-            "spill range is cold through the reader"
-        );
     }
 
     #[test]
-    fn reader_tracks_decay_through_shared_epoch() {
-        let mut h = HeatMap::new(0.0); // decay 0: everything dies
-        h.record(Vpn(7), false, 5.0);
-        let r = h.reader();
-        assert_eq!(r.get(Vpn(7)).heat, 5.0);
-        h.decay_epoch();
-        assert_eq!(r.get(Vpn(7)), PageStats::default(), "pruned page is cold");
-        h.record(Vpn(7), false, 1.0);
-        assert_eq!(r.get(Vpn(7)).heat, 1.0, "resurrection visible");
+    fn restore_rejects_epoch_zero() {
+        use vulcan_json::{snap, Snapshot};
+        let mut h = HeatMap::new(0.5);
+        h.record(Vpn(1), false, 1.0);
+        let v = with_field(h.snapshot(), "epoch", snap::u64_value(0));
+        let err = HeatMap::restore(&v).unwrap_err();
+        assert!(err.contains("epoch 0"), "{err}");
     }
 
-    /// Satellite contract: concurrent lock-free reads during a record
-    /// pass never tear and never deadlock. The writer only issues reads
-    /// (`is_write = false`), so every consistent snapshot satisfies
-    /// `heat == reads && writes == 0` bitwise — both fields go through
-    /// the identical `+= weight` / `*= decay` sequence. A torn read
-    /// (heat updated, reads not) breaks the equality.
     #[test]
-    fn concurrent_reads_never_tear_or_deadlock() {
-        use std::sync::atomic::AtomicBool;
-
+    fn restore_rejects_duplicate_live_keys() {
+        use vulcan_json::{snap, Snapshot};
         let mut h = HeatMap::new(0.5);
-        h.reserve(512);
-        let reader = h.reader();
-        let done = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for _ in 0..3 {
-                let r = reader.clone();
-                let done = &done;
-                scope.spawn(move || {
-                    let mut x: u64 = 0xDEAD_BEEF;
-                    let mut observed_hot = 0u64;
-                    while !done.load(Ordering::Relaxed) {
-                        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                        let s = r.get(Vpn((x >> 33) % 512));
-                        assert_eq!(s.heat.to_bits(), s.reads.to_bits(), "torn snapshot: {s:?}");
-                        assert_eq!(s.writes, 0.0, "torn snapshot: {s:?}");
-                        observed_hot += (s.heat > 0.0) as u64;
-                    }
-                    observed_hot
-                });
-            }
-            // The single writer hammers records and decays concurrently.
-            let mut x: u64 = 0x1234_5678;
-            for round in 0..200 {
-                for _ in 0..2_000 {
-                    x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                    h.record(Vpn((x >> 33) % 512), false, ((x % 7) + 1) as f64);
-                }
-                if round % 10 == 0 {
-                    h.decay_epoch();
-                }
-            }
-            done.store(true, Ordering::Relaxed);
-        });
-        // The writer-side view stays exact throughout.
-        for v in 0..512u64 {
-            let s = h.get(Vpn(v));
-            assert_eq!(s.heat.to_bits(), s.reads.to_bits());
-        }
+        h.record(Vpn(1), false, 1.0);
+        h.record(Vpn(2), true, 2.0);
+        // Two live entries, both naming VPN 1: the stat arrays still line up.
+        let v = with_field(h.snapshot(), "live", snap::u64_array(&[1, 1]));
+        let err = HeatMap::restore(&v).unwrap_err();
+        assert!(err.contains("duplicate live key 1"), "{err}");
     }
 }

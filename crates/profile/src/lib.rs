@@ -15,7 +15,7 @@ pub mod sampler;
 
 pub use advanced::{ChronoProfiler, TelescopeProfiler};
 pub use engine::AnyProfiler;
-pub use heat::{select_top_by, top_n_by, HeatMap, HeatReader, PageStats};
+pub use heat::{select_top_by, top_n_by, HeatMap, PageStats};
 pub use sampler::{
     AccessBatch, EpochOutcome, HintFaultProfiler, HybridProfiler, PebsProfiler, Profiler,
     PtScanProfiler, DEFAULT_DECAY,

@@ -150,22 +150,8 @@ fn simulate_access_unprofiled(
                 t += REPLICATION_FAULT;
             }
         }
-        let frame = out.pte.frame().expect("mapped");
-        let tier = frame.tier;
-        let lat = machine.access_latency(tier);
-        t += lat;
-        machine.record_access(tier);
-        if tier == TierKind::Fast {
-            stats.fast_q += 1;
-        } else {
-            stats.slow_q += 1; // every non-fast chain tier counts against FTHR
-        }
-        if write {
-            stats.write_bytes_q += 64;
-        } else {
-            stats.read_bytes_q += 64;
-        }
-        stats.mem_time_q += lat;
+        let tier = out.pte.frame().expect("mapped").tier;
+        t += account_tier_access(machine, stats, tier, write);
         return (t, false);
     }
 
@@ -207,22 +193,9 @@ fn simulate_access_unprofiled(
                         tlbs.core(core).insert_huge(process.asid, vpn);
                         process.space.touch(vpn, tid, write).expect("just mapped");
                         // Account the access against the mapped tier.
-                        let pte = process.space.pte(vpn);
-                        let tier = pte.tier().expect("mapped");
-                        let lat = machine.access_latency(tier);
-                        machine.record_access(tier);
-                        if tier == TierKind::Fast {
-                            stats.fast_q += 1;
-                        } else {
-                            stats.slow_q += 1;
-                        }
-                        if write {
-                            stats.write_bytes_q += 64;
-                        } else {
-                            stats.read_bytes_q += 64;
-                        }
-                        stats.mem_time_q += lat;
-                        return (t + lat, false);
+                        let tier = process.space.pte(vpn).tier().expect("mapped");
+                        t += account_tier_access(machine, stats, tier, write);
+                        return (t, false);
                     }
                     t += MAJOR_FAULT;
                     let frame = match machine.alloc_with_fallback(pref) {
@@ -279,9 +252,22 @@ fn simulate_access_unprofiled(
         }
     };
 
-    let tier = frame.tier;
+    t += account_tier_access(machine, stats, frame.tier, write);
+    (t, hint)
+}
+
+/// Charge one 64-byte access against `tier`: the machine's per-tier
+/// count, the workload's fast/slow split (every non-fast chain tier
+/// counts against FTHR), its read/write bytes and its memory time.
+/// Returns the tier's access latency.
+#[inline]
+fn account_tier_access(
+    machine: &mut Machine,
+    stats: &mut WorkloadStats,
+    tier: TierKind,
+    write: bool,
+) -> Nanos {
     let lat = machine.access_latency(tier);
-    t += lat;
     machine.record_access(tier);
     if tier == TierKind::Fast {
         stats.fast_q += 1;
@@ -294,7 +280,7 @@ fn simulate_access_unprofiled(
         stats.read_bytes_q += 64;
     }
     stats.mem_time_q += lat;
-    (t, hint)
+    lat
 }
 
 /// Try to service a major fault with a whole 2 MiB region: every page of

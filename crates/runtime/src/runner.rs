@@ -355,9 +355,7 @@ impl<M, W, P> SimRunnerBuilder<M, W, P> {
     /// Vulcan's hybrid profiler for every workload).
     ///
     /// Accepts any return type convertible into [`AnyProfiler`]: a
-    /// concrete profiler, a `Box` of one (unboxed onto the enum fast
-    /// path), or a `Box<dyn Profiler>` (kept dyn-dispatched), so
-    /// pre-existing boxed factories work unchanged.
+    /// built-in profiler or a `Box` of one (unboxed onto the enum).
     pub fn profiler_factory<R: Into<AnyProfiler>>(
         mut self,
         mut f: impl FnMut(&WorkloadSpec) -> R + 'static,
@@ -490,7 +488,7 @@ impl SimRunner {
                 ]),
             ),
             ("config", self.cfg.snapshot()),
-            ("state", self.state.checkpoint_value()?),
+            ("state", self.state.checkpoint_value()),
             ("series", self.series.snapshot()),
             ("cfi", self.cfi.snapshot()),
             ("planes", self.planes.snapshot()),
@@ -849,7 +847,6 @@ impl SimRunner {
     fn record_quantum(&mut self) -> QuantumOutcome {
         let st = &mut self.state;
         let t = st.now.as_secs_f64();
-        let wall_secs = self.cfg.quantum_wall.as_secs_f64();
         let started_count = st.workloads.iter().filter(|w| w.started).count().max(1);
         let gfmc = st.machine.allocator(TierKind::Fast).capacity() as f64 / started_count as f64;
 
@@ -937,7 +934,6 @@ impl SimRunner {
                     self.series.entry(&format!("{name}.{suffix}")).push(t, v);
                 }
             }
-            let _ = wall_secs;
         }
         // CFI is accumulated over the full-co-location window: fairness
         // among N workloads is only defined once all N compete (solo
